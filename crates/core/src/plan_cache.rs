@@ -306,6 +306,8 @@ impl PlanCache {
     /// Lifetime totals across every user of this cache instance —
     /// **racy under sharing** (gauges for the serve metrics endpoint);
     /// use the per-run [`PlanCacheStats`] for deterministic numbers.
+    /// `epoch_bumps` is always 0 here: a bump happens in one run's
+    /// arbiter, and only that run's stats count it.
     #[must_use]
     pub fn totals(&self) -> PlanCacheStats {
         PlanCacheStats {

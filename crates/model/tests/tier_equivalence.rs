@@ -1,29 +1,57 @@
-//! Three-way kernel-tier equivalence suite: every lattice kernel must
-//! agree bit-for-bit across the scalar reference implementation (the
-//! executable specification), the portable u64 SWAR tier, and — when the
-//! host CPU supports it — the AVX2 wide tier, across random arities:
-//! below, at and above the inline cap (inline vs spill representations),
-//! around the SWAR 4-lane word boundary, and around the AVX2 16-lane
-//! vector boundary, with counts biased toward the 0x7FFF/0x8000/0xFFFF
-//! saturation lanes.
-//!
-//! Two layers are checked per operation:
-//!
-//! 1. the raw tier kernels (`kernels::{swar,wide}::op`) against
-//!    `kernels::scalar::op` on bare slices;
-//! 2. the public `Molecule` API (which routes through the per-process
-//!    dispatch) against the scalar reference.
-//!
-//! CI runs this suite once per available tier with `RISPP_KERNEL_TIER`
-//! forced, so layer 2 covers every tier end-to-end.
+//! `Molecule` lattice API against naive reference loops, across random
+//! arities below, at and above the inline cap (inline vs spill
+//! representations), with counts biased toward the 0x7FFF/0x8000/0xFFFF
+//! saturation lanes. Every lattice operation the run-time system plans
+//! with must agree bit-for-bit with the obvious per-component formula.
 
 use proptest::prelude::*;
-use rispp_model::kernels::{scalar, swar, wide};
 use rispp_model::{Molecule, INLINE_LANES};
 
-/// Arities covering partial SWAR words (1..4), full-word multiples, the
-/// AVX2 16-lane vector boundary, the inline cap boundary and the spill
-/// path.
+/// Allocating reference formulations of the lattice operations: one
+/// iterator chain per operation, nothing shared with the library.
+mod naive {
+    use std::cmp::Ordering;
+
+    pub fn union(a: &[u16], b: &[u16]) -> Vec<u16> {
+        a.iter().zip(b).map(|(&x, &y)| x.max(y)).collect()
+    }
+
+    pub fn intersect(a: &[u16], b: &[u16]) -> Vec<u16> {
+        a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect()
+    }
+
+    /// Component-wise saturating `o − a` (the residual `a ⊖ o`).
+    pub fn residual(a: &[u16], o: &[u16]) -> Vec<u16> {
+        a.iter().zip(o).map(|(&x, &y)| y.saturating_sub(x)).collect()
+    }
+
+    pub fn saturating_add(a: &[u16], b: &[u16]) -> Vec<u16> {
+        a.iter().zip(b).map(|(&x, &y)| x.saturating_add(y)).collect()
+    }
+
+    pub fn total(a: &[u16]) -> u64 {
+        a.iter().map(|&c| u64::from(c)).sum()
+    }
+
+    pub fn is_subset(a: &[u16], b: &[u16]) -> bool {
+        a.iter().zip(b).all(|(&x, &y)| x <= y)
+    }
+
+    pub fn partial_cmp(a: &[u16], b: &[u16]) -> Option<Ordering> {
+        let le = is_subset(a, b);
+        let ge = is_subset(b, a);
+        match (le, ge) {
+            (true, true) => Some(Ordering::Equal),
+            (true, false) => Some(Ordering::Less),
+            (false, true) => Some(Ordering::Greater),
+            (false, false) => None,
+        }
+    }
+}
+
+/// Arities covering small universes (the H.264 library has 11 Atom types),
+/// the power-of-two widths an autovectorized loop splits at, the inline
+/// cap boundary and the spill path.
 fn arity() -> impl Strategy<Value = usize> {
     const TABLE: [usize; 15] = [
         1,
@@ -83,141 +111,52 @@ fn pair() -> impl Strategy<Value = (Vec<u16>, Vec<u16>)> {
     })
 }
 
-/// Runs a zip-shaped kernel (`op(a, b, &mut out)`) and returns the output.
-fn run_into(op: fn(&[u16], &[u16], &mut [u16]), a: &[u16], b: &[u16]) -> Vec<u16> {
-    let mut out = vec![0u16; a.len()];
-    op(a, b, &mut out);
-    out
-}
-
-/// Asserts slice-level agreement of one zip kernel across all tiers.
-macro_rules! assert_into_tiers_agree {
-    ($op:ident, $a:expr, $b:expr) => {{
-        let expected = run_into(scalar::$op, $a, $b);
-        prop_assert_eq!(&run_into(swar::$op, $a, $b), &expected, "swar {}", stringify!($op));
-        if wide::available() {
-            prop_assert_eq!(
-                &run_into(wide::$op, $a, $b),
-                &expected,
-                "wide {}",
-                stringify!($op)
-            );
-        }
-    }};
-}
-
-/// Asserts agreement of one two-operand reduction across all tiers.
-macro_rules! assert_fold_tiers_agree {
-    ($op:ident, $a:expr, $b:expr) => {{
-        let expected = scalar::$op($a, $b);
-        prop_assert_eq!(swar::$op($a, $b), expected, "swar {}", stringify!($op));
-        if wide::available() {
-            prop_assert_eq!(wide::$op($a, $b), expected, "wide {}", stringify!($op));
-        }
-    }};
-}
-
 proptest! {
-    // ── Layer 1: raw tier kernels vs the scalar specification ──────────
-
     #[test]
-    fn zip_kernels_agree_across_tiers((a, b) in pair()) {
-        assert_into_tiers_agree!(union_into, &a, &b);
-        assert_into_tiers_agree!(intersect_into, &a, &b);
-        assert_into_tiers_agree!(residual_into, &a, &b);
-        assert_into_tiers_agree!(saturating_add_into, &a, &b);
-    }
-
-    /// The in-place union accumulator must agree with the three-operand
-    /// union in every tier (same folding, no construction).
-    #[test]
-    fn union_in_place_agrees_across_tiers((a, b) in pair()) {
-        let expected = run_into(scalar::union_into, &a, &b);
-        let mut acc = a.clone();
-        scalar::union_in_place(&mut acc, &b);
-        prop_assert_eq!(&acc, &expected, "scalar union_in_place");
-        let mut acc = a.clone();
-        swar::union_in_place(&mut acc, &b);
-        prop_assert_eq!(&acc, &expected, "swar union_in_place");
-        if wide::available() {
-            let mut acc = a.clone();
-            wide::union_in_place(&mut acc, &b);
-            prop_assert_eq!(&acc, &expected, "wide union_in_place");
-        }
-    }
-
-    #[test]
-    fn reductions_agree_across_tiers((a, b) in pair()) {
-        assert_fold_tiers_agree!(residual_atoms, &a, &b);
-        assert_fold_tiers_agree!(union_atoms, &a, &b);
-        assert_fold_tiers_agree!(is_subset, &a, &b);
-        assert_fold_tiers_agree!(partial_cmp, &a, &b);
-
-        prop_assert_eq!(swar::total_atoms(&a), scalar::total_atoms(&a));
-        if wide::available() {
-            prop_assert_eq!(wide::total_atoms(&a), scalar::total_atoms(&a));
-        }
-    }
-
-    #[test]
-    fn nonzero_mask_agrees_across_tiers(a in proptest::collection::vec(count(), 1..65usize)) {
-        let expected = scalar::nonzero_mask(&a);
-        prop_assert_eq!(swar::nonzero_mask(&a), expected);
-        if wide::available() {
-            prop_assert_eq!(wide::nonzero_mask(&a), expected);
-        }
-        // And the specification itself marks exactly the positive lanes.
-        for (i, &c) in a.iter().enumerate() {
-            prop_assert_eq!(expected >> i & 1 == 1, c > 0);
-        }
-        if a.len() < 64 {
-            prop_assert_eq!(expected >> a.len(), 0);
-        }
-    }
-
-    // ── Layer 2: the dispatched Molecule API vs the specification ──────
-
-    #[test]
-    fn union_matches_scalar((a, b) in pair()) {
+    fn union_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(ma.union(&mb).counts(), &scalar::union(&a, &b)[..]);
+        let expected = naive::union(&a, &b);
+        prop_assert_eq!(ma.union(&mb).counts(), &expected[..]);
         // The in-place and write-into forms are the same fold.
         let mut acc = ma.clone();
         acc.union_assign(&mb);
-        prop_assert_eq!(acc.counts(), &scalar::union(&a, &b)[..]);
+        prop_assert_eq!(acc.counts(), &expected[..]);
         let mut out = Molecule::zero(ma.arity());
         ma.union_into(&mb, &mut out);
-        prop_assert_eq!(out.counts(), &scalar::union(&a, &b)[..]);
+        prop_assert_eq!(out.counts(), &expected[..]);
     }
 
     #[test]
-    fn intersect_matches_scalar((a, b) in pair()) {
+    fn intersect_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(ma.intersect(&mb).counts(), &scalar::intersect(&a, &b)[..]);
+        prop_assert_eq!(ma.intersect(&mb).counts(), &naive::intersect(&a, &b)[..]);
     }
 
     #[test]
-    fn residual_matches_scalar((a, b) in pair()) {
+    fn residual_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(ma.residual(&mb).counts(), &scalar::residual(&a, &b)[..]);
+        prop_assert_eq!(ma.residual(&mb).counts(), &naive::residual(&a, &b)[..]);
     }
 
     #[test]
-    fn saturating_add_matches_scalar((a, b) in pair()) {
+    fn saturating_add_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(ma.saturating_add(&mb).counts(), &scalar::saturating_add(&a, &b)[..]);
+        prop_assert_eq!(ma.saturating_add(&mb).counts(), &naive::saturating_add(&a, &b)[..]);
     }
 
     #[test]
-    fn residual_atoms_matches_scalar((a, b) in pair()) {
+    fn residual_atoms_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(u64::from(ma.residual_atoms(&mb)), scalar::residual_atoms(&a, &b));
+        prop_assert_eq!(
+            u64::from(ma.residual_atoms(&mb)),
+            naive::total(&naive::residual(&a, &b))
+        );
     }
 
     #[test]
-    fn union_atoms_matches_scalar((a, b) in pair()) {
+    fn union_atoms_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(u64::from(ma.union_atoms(&mb)), scalar::union_atoms(&a, &b));
+        prop_assert_eq!(u64::from(ma.union_atoms(&mb)), naive::total(&naive::union(&a, &b)));
     }
 
     #[test]
@@ -234,22 +173,23 @@ proptest! {
     }
 
     #[test]
-    fn total_atoms_matches_scalar((a, _) in pair()) {
+    fn total_atoms_matches_naive((a, _) in pair()) {
         let ma = Molecule::from_counts(a.clone());
-        prop_assert_eq!(u64::from(ma.total_atoms()), scalar::total_atoms(&a));
+        prop_assert_eq!(u64::from(ma.total_atoms()), naive::total(&a));
+        prop_assert_eq!(ma.is_zero(), naive::total(&a) == 0);
     }
 
     #[test]
-    fn partial_cmp_matches_scalar((a, b) in pair()) {
+    fn partial_cmp_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(ma.partial_cmp(&mb), scalar::partial_cmp(&a, &b));
+        prop_assert_eq!(ma.partial_cmp(&mb), naive::partial_cmp(&a, &b));
     }
 
     #[test]
-    fn is_subset_matches_scalar((a, b) in pair()) {
+    fn is_subset_matches_naive((a, b) in pair()) {
         let (ma, mb) = (Molecule::from_counts(a.clone()), Molecule::from_counts(b.clone()));
-        prop_assert_eq!(ma.is_subset(&mb), scalar::is_subset(&a, &b));
-        prop_assert_eq!(mb.is_subset(&ma), scalar::is_subset(&b, &a));
+        prop_assert_eq!(ma.is_subset(&mb), naive::is_subset(&a, &b));
+        prop_assert_eq!(mb.is_subset(&ma), naive::is_subset(&b, &a));
     }
 
     /// Mixed inline/spill operands: same logical vector must behave
@@ -269,27 +209,4 @@ proptest! {
         prop_assert!(!inline.is_subset(&spill));
         prop_assert!(inline.checked_union(&spill).is_err());
     }
-}
-
-/// The dispatch machinery itself: parsing, availability, and the
-/// guarantee that the active tier is one of the available ones.
-#[test]
-fn tier_parsing_and_dispatch_state() {
-    use rispp_model::kernels::{self, KernelTier};
-
-    assert_eq!(KernelTier::parse("scalar"), Ok(Some(KernelTier::Scalar)));
-    assert_eq!(KernelTier::parse(" SWAR "), Ok(Some(KernelTier::Swar)));
-    assert_eq!(KernelTier::parse("wide"), Ok(Some(KernelTier::Wide)));
-    assert_eq!(KernelTier::parse("auto"), Ok(None));
-    assert_eq!(KernelTier::parse(""), Ok(None));
-    assert!(KernelTier::parse("avx512").is_err());
-
-    assert!(KernelTier::Scalar.is_available());
-    assert!(KernelTier::Swar.is_available());
-    assert_eq!(KernelTier::Wide.is_available(), wide::available());
-
-    let active = kernels::active_tier();
-    assert!(active.is_available());
-    // Once resolved, init reports the cached tier without error.
-    assert_eq!(kernels::init_tier_from_env(), Ok(active));
 }

@@ -67,6 +67,10 @@ pub fn handle_connection(server: &Server, stream: TcpStream, drain_trigger: &Ato
     // Readers wake periodically so a connection idling after drain
     // completion can close instead of parking in read(2) forever.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    // One response line per job, flushed as soon as it is ready: without
+    // this, Nagle's algorithm holds each small line back until the
+    // client's delayed ACK, which dominated request latency.
+    let _ = stream.set_nodelay(true);
     let (pending_tx, pending_rx) = mpsc::channel::<Pending>();
 
     let writer = std::thread::Builder::new()

@@ -123,6 +123,10 @@ struct ServerInner {
     /// decisions instead of re-running the selector and scheduler; results
     /// are bit-identical either way, so this is invisible to clients.
     plan_cache: Arc<PlanCache>,
+    /// Plan-cache epoch bumps summed over every finished run. The shared
+    /// cache cannot see them: a bump invalidates one run's fabric epoch,
+    /// so each run reports its own count in its `CancellableRun`.
+    plan_epoch_bumps: AtomicU64,
     poison: PoisonList,
     watchdog: Arc<DeadlineWatchdog>,
     metrics: Mutex<MetricsRegistry>,
@@ -162,6 +166,7 @@ impl Server {
             queue: AdmissionQueue::new(config.queue_capacity),
             cache: LruCache::new(config.trace_cache_capacity),
             plan_cache: Arc::new(PlanCache::default()),
+            plan_epoch_bumps: AtomicU64::new(0),
             poison: PoisonList::new(config.poison_threshold),
             watchdog,
             metrics: Mutex::new(MetricsRegistry::new()),
@@ -329,10 +334,14 @@ impl Server {
 
     /// Lifetime totals of the warm cross-request plan cache. Racy under
     /// concurrent jobs (they are gauges, not per-run stats), but hits
-    /// plus misses always equals completed planning lookups.
+    /// plus misses always equals completed planning lookups. Epoch bumps
+    /// are the sum over every run that finished, completed or cancelled.
     #[must_use]
     pub fn plan_cache_totals(&self) -> rispp_core::PlanCacheStats {
-        self.inner.plan_cache.totals()
+        rispp_core::PlanCacheStats {
+            epoch_bumps: self.inner.plan_epoch_bumps.load(Ordering::Relaxed),
+            ..self.inner.plan_cache.totals()
+        }
     }
 
     /// Quarantined config count.
@@ -376,7 +385,7 @@ impl Server {
             "rispp_serve_configs_poisoned",
             i64::try_from(self.poisoned_configs()).unwrap_or(i64::MAX),
         );
-        let plans = self.inner.plan_cache.totals();
+        let plans = self.plan_cache_totals();
         registry.gauge_set(
             "rispp_serve_plan_cache_hits",
             i64::try_from(plans.hits).unwrap_or(i64::MAX),
@@ -392,6 +401,10 @@ impl Server {
         registry.gauge_set(
             "rispp_serve_plan_cache_evictions",
             i64::try_from(plans.evictions).unwrap_or(i64::MAX),
+        );
+        registry.gauge_set(
+            "rispp_serve_plan_cache_epoch_bumps",
+            i64::try_from(plans.epoch_bumps).unwrap_or(i64::MAX),
         );
         let (armed, fired, disarmed) = self.inner.watchdog.counts();
         registry.gauge_set(
@@ -568,6 +581,11 @@ fn run_job(inner: &Arc<ServerInner>, job: &QueuedJob) -> JobOutcome {
                 &mut observers,
             )
         }));
+        if let Ok(run) = &result {
+            inner
+                .plan_epoch_bumps
+                .fetch_add(run.plan_cache.epoch_bumps, Ordering::Relaxed);
+        }
         match result {
             Ok(run) if !run.cancelled => {
                 inner.poison.record_success(config_hash);

@@ -109,13 +109,16 @@ impl CancelToken {
     }
 }
 
-/// Outcome of a cancellable simulation: the collected statistics plus
-/// whether the replay ran to completion.
+/// Outcome of a cancellable simulation: the collected statistics, the
+/// run's plan-cache counters, and whether the replay ran to completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CancellableRun {
     /// Statistics collected up to completion or the cancellation point.
     /// Partial when [`CancellableRun::cancelled`] is `true`.
     pub stats: crate::RunStats,
+    /// This run's plan-cache counters, epoch bumps included (see
+    /// [`crate::simulate_observed_planned`]).
+    pub plan_cache: rispp_core::PlanCacheStats,
     /// `true` when the token fired and the replay stopped early.
     pub cancelled: bool,
 }

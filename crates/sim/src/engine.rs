@@ -458,30 +458,26 @@ pub fn simulate_with(
     trace: &Trace,
     observers: &mut [&mut (dyn SimObserver + '_)],
 ) {
-    let mut state = ReplayState::new(system, observers);
-    let mut now = 0u64;
-    for inv in trace.invocations() {
-        now = replay_invocation(system, inv, now, &mut state, observers);
-    }
-    finish_replay(system, now, now, &mut state, observers);
+    simulate_with_cancellable(system, trace, observers, None);
 }
 
-/// [`simulate_with`] with cooperative cancellation: the replay checks
-/// `token` at every hot-spot entry and burst-batch boundary and stops
-/// early once it fires. Returns `true` when the trace ran to completion,
-/// `false` when the token cut it short (the observers then saw a partial
-/// event stream, closed by a final [`SimEvent::RunFinished`] at the
-/// cancellation cycle).
+/// The one replay loop behind every single-tenant entry point. With a
+/// `cancel` token the replay checks it at every hot-spot entry and
+/// burst-batch boundary and stops early once it fires; the observers then
+/// see a partial event stream, closed by a final [`SimEvent::RunFinished`]
+/// at the cancellation cycle. Returns `true` when the trace ran to
+/// completion.
 ///
-/// A run whose token never fires is bit-identical to [`simulate_with`]:
+/// A run whose token never fires is bit-identical to one without a token:
 /// the only extra work is a relaxed atomic load per boundary.
-pub fn simulate_with_cancellable(
+fn simulate_with_cancellable(
     system: &mut dyn ExecutionSystem,
     trace: &Trace,
     observers: &mut [&mut (dyn SimObserver + '_)],
-    token: &CancelToken,
+    cancel: Option<&CancelToken>,
 ) -> bool {
-    let mut state = ReplayState::new(system, observers).with_cancel(token.clone());
+    let mut state = ReplayState::new(system, observers);
+    state.cancel = cancel.cloned();
     let mut now = 0u64;
     for inv in trace.invocations() {
         now = replay_invocation(system, inv, now, &mut state, observers);
@@ -520,9 +516,9 @@ pub(crate) struct ReplayState {
     recovery_active: bool,
     telemetry_active: bool,
     // Cooperative cancellation: `None` for classic runs (the boundary
-    // checks reduce to one branch), `Some` when driven through
-    // [`simulate_with_cancellable`]. `cancelled` latches once the token
-    // is observed fired, so callers distinguish complete from cut-short
+    // checks reduce to one branch), `Some` when a token is passed to
+    // `simulate_with_cancellable`. `cancelled` latches once the token is
+    // observed fired, so callers distinguish complete from cut-short
     // replays.
     cancel: Option<CancelToken>,
     pub(crate) cancelled: bool,
@@ -550,12 +546,6 @@ impl ReplayState {
             cancel: None,
             cancelled: false,
         }
-    }
-
-    /// Attaches a cancellation token (builder style).
-    pub(crate) fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
     }
 
     /// Samples the token (if any) and latches the cancelled flag.
@@ -785,28 +775,8 @@ pub fn simulate_observed_planned(
     shared: Option<&PlanCacheHandle>,
     extra: &mut [&mut (dyn SimObserver + '_)],
 ) -> (RunStats, PlanCacheStats) {
-    let mut system = config.build_system_shared(library, shared);
-    let mut stats = RunStats::new(
-        system.label(),
-        library.len(),
-        config.bucket_cycles,
-        config.detail,
-    );
-    {
-        let mut observers: Vec<&mut (dyn SimObserver + '_)> = Vec::with_capacity(1 + extra.len());
-        observers.push(&mut stats);
-        for obs in extra.iter_mut() {
-            observers.push(&mut **obs);
-        }
-        if let Some(ctx) = config.trace {
-            for obs in observers.iter_mut() {
-                obs.set_trace_context(ctx);
-            }
-        }
-        simulate_with(system.as_mut(), trace, &mut observers);
-    }
-    let plan = system.plan_cache_stats();
-    (stats, plan)
+    let run = run_observed(library, trace, config, shared, None, extra);
+    (run.stats, run.plan_cache)
 }
 
 /// Replays `trace` on the configured system and returns the run statistics.
@@ -823,29 +793,11 @@ pub fn simulate(library: &SiLibrary, trace: &Trace, config: &SimConfig) -> RunSt
     simulate_observed(library, trace, config, &mut [])
 }
 
-/// [`simulate_observed`] with cooperative cancellation: stops early once
-/// `token` fires (see [`simulate_with_cancellable`] for the boundary
-/// semantics). A run whose token never fires returns statistics
-/// bit-identical to [`simulate_observed`] — same code path, the check just
-/// never triggers.
-///
-/// # Panics
-///
-/// Panics if the trace references SIs outside `library`.
-#[must_use]
-pub fn simulate_observed_cancellable(
-    library: &SiLibrary,
-    trace: &Trace,
-    config: &SimConfig,
-    token: &CancelToken,
-    extra: &mut [&mut (dyn SimObserver + '_)],
-) -> CancellableRun {
-    simulate_observed_cancellable_shared(library, trace, config, token, None, extra)
-}
-
-/// [`simulate_observed_cancellable`] with an optional *shared* plan cache
-/// (the warm-cache job-server path). See
-/// [`simulate_observed_planned`] for the sharing semantics.
+/// [`simulate_observed_planned`] with cooperative cancellation — the
+/// job-server execution path. Stops early once `token` fires, at the next
+/// hot-spot entry or burst-batch boundary. A run whose token never fires
+/// returns statistics bit-identical to [`simulate_observed_planned`] —
+/// same code path, the check just never triggers.
 ///
 /// # Panics
 ///
@@ -857,6 +809,20 @@ pub fn simulate_observed_cancellable_shared(
     config: &SimConfig,
     token: &CancelToken,
     shared: Option<&PlanCacheHandle>,
+    extra: &mut [&mut (dyn SimObserver + '_)],
+) -> CancellableRun {
+    run_observed(library, trace, config, shared, Some(token), extra)
+}
+
+/// Builds the configured system, puts a [`RunStats`] collector in front
+/// of `extra`, stamps the config's trace context on every observer and
+/// replays `trace`.
+fn run_observed(
+    library: &SiLibrary,
+    trace: &Trace,
+    config: &SimConfig,
+    shared: Option<&PlanCacheHandle>,
+    cancel: Option<&CancelToken>,
     extra: &mut [&mut (dyn SimObserver + '_)],
 ) -> CancellableRun {
     let mut system = config.build_system_shared(library, shared);
@@ -877,46 +843,13 @@ pub fn simulate_observed_cancellable_shared(
                 obs.set_trace_context(ctx);
             }
         }
-        simulate_with_cancellable(system.as_mut(), trace, &mut observers, token)
+        simulate_with_cancellable(system.as_mut(), trace, &mut observers, cancel)
     };
     CancellableRun {
         stats,
+        plan_cache: system.plan_cache_stats(),
         cancelled: !completed,
     }
-}
-
-/// [`simulate`] with cooperative cancellation — the job-server execution
-/// path. See [`simulate_observed_cancellable`].
-///
-/// # Panics
-///
-/// Panics if the trace references SIs outside `library`.
-#[must_use]
-pub fn simulate_cancellable(
-    library: &SiLibrary,
-    trace: &Trace,
-    config: &SimConfig,
-    token: &CancelToken,
-) -> CancellableRun {
-    simulate_observed_cancellable(library, trace, config, token, &mut [])
-}
-
-/// [`simulate_cancellable`] against a *shared* warm plan cache — the
-/// job-server execution path with cross-request plan reuse. See
-/// [`simulate_observed_planned`] for the sharing semantics.
-///
-/// # Panics
-///
-/// Panics if the trace references SIs outside `library`.
-#[must_use]
-pub fn simulate_cancellable_shared(
-    library: &SiLibrary,
-    trace: &Trace,
-    config: &SimConfig,
-    token: &CancelToken,
-    shared: Option<&PlanCacheHandle>,
-) -> CancellableRun {
-    simulate_observed_cancellable_shared(library, trace, config, token, shared, &mut [])
 }
 
 #[cfg(test)]
@@ -1114,6 +1047,17 @@ mod tests {
         }
     }
 
+    /// The job-server entry point with a private plan cache.
+    fn cancellable(
+        lib: &SiLibrary,
+        t: &Trace,
+        config: &SimConfig,
+        token: &CancelToken,
+        extra: &mut [&mut (dyn SimObserver + '_)],
+    ) -> CancellableRun {
+        simulate_observed_cancellable_shared(lib, t, config, token, None, extra)
+    }
+
     #[test]
     fn unfired_token_is_bit_identical_to_plain_simulate() {
         let lib = library();
@@ -1124,10 +1068,11 @@ mod tests {
             SimConfig::rispp(4, SchedulerKind::Hef).with_detail(true),
             SimConfig::rispp(3, SchedulerKind::Asf),
         ] {
-            let plain = simulate(&lib, &t, &config);
-            let run = simulate_cancellable(&lib, &t, &config, &CancelToken::new());
+            let (plain, plan) = simulate_observed_planned(&lib, &t, &config, None, &mut []);
+            let run = cancellable(&lib, &t, &config, &CancelToken::new(), &mut []);
             assert!(!run.cancelled, "{}", config.system.label());
             assert_eq!(run.stats, plain, "{}", config.system.label());
+            assert_eq!(run.plan_cache, plan, "{}", config.system.label());
         }
     }
 
@@ -1137,7 +1082,7 @@ mod tests {
         let t = trace(6);
         let token = CancelToken::new();
         token.cancel();
-        let run = simulate_cancellable(&lib, &t, &SimConfig::rispp(4, SchedulerKind::Hef), &token);
+        let run = cancellable(&lib, &t, &SimConfig::rispp(4, SchedulerKind::Hef), &token, &mut []);
         assert!(run.cancelled);
         assert_eq!(run.stats.total_executions(), 0);
         assert_eq!(run.stats.total_cycles, 0);
@@ -1172,7 +1117,7 @@ mod tests {
             segments: 0,
         };
         let mut extra: [&mut dyn SimObserver; 1] = [&mut fire];
-        let run = simulate_observed_cancellable(
+        let run = cancellable(
             &lib,
             &t,
             &SimConfig::rispp(4, SchedulerKind::Hef),

@@ -16,24 +16,17 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> tier-forced kernel equivalence suite"
-# Re-run the three-way kernel equivalence proptests once per *available*
-# tier with RISPP_KERNEL_TIER forced, so the dispatched Molecule layer is
-# exercised end-to-end on every tier this CPU can run (the wide/AVX2 tier
-# is skipped on hosts without it; forcing an unavailable tier is an error
-# by design). Availability comes from molecule_kernels' self-description.
-tiers="scalar swar"
-if ./target/release/molecule_kernels 1 2>&1 >/dev/null | grep -q '^tiers available.*wide'; then
-  tiers="$tiers wide"
+echo "==> fig7 replay pin (2 frames, release build)"
+# The default-seed 2-frame fig7 sweep must sum to a fixed simulated-cycle
+# count. Any change to trace generation, planning or replay that moves a
+# single cycle fails here, independently of the workspace tests.
+./target/release/fig7 2 --json target/ci_fig7_pin.json >/dev/null 2>&1
+if ! grep -q '"simulated_cycles": 1227965249,' target/ci_fig7_pin.json; then
+  echo "ci: fig7 pin failed — expected \"simulated_cycles\": 1227965249, got:" >&2
+  grep '"simulated_cycles"' target/ci_fig7_pin.json >&2 || cat target/ci_fig7_pin.json >&2
+  exit 1
 fi
-for tier in $tiers; do
-  echo "    RISPP_KERNEL_TIER=$tier"
-  RISPP_KERNEL_TIER="$tier" cargo test -q -p rispp-model --test tier_equivalence >/dev/null
-  # Backend conformance includes the K=1 arbiter bit-identity suite; the
-  # single-tenant multiplexed path must match the classic path on every
-  # kernel tier, not just the dispatcher's pick.
-  RISPP_KERNEL_TIER="$tier" cargo test -q -p rispp-sim --test backend_conformance >/dev/null
-done
+echo "    simulated_cycles 1227965249"
 
 echo "==> fault-sweep smoke (rispp-cli resilience)"
 # Seeded so the run provably exercises the whole recovery path: the CSV row
