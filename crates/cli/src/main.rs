@@ -118,7 +118,9 @@ SUBCOMMANDS:
         admitted job finishes, then the daemon exits 0. --flight-dir
         arms a per-job flight recorder that spills a diagnostic bundle
         (readable with `forensics`) on timeout, retry exhaustion or
-        poison-listing; --flight-events sets its ring capacity.
+        poison-listing; --flight-events sets its ring capacity. Named
+        workloads (`fig7:FRAMES`) are limited to 300 frames, and a
+        zero `port_bandwidth` is rejected at decode.
 
     submit --addr HOST:PORT [--frames N] [--acs N | --from N --to N]
            [--scheduler KIND] [--repeat K] [--fault-rate R]

@@ -4,9 +4,10 @@
 //! request carries a [`SimConfig`] and a trace payload; the trace is
 //! either an inline `{"invocations": [...]}` object or a string naming a
 //! built-in workload (`"fig7"` / `"fig7:FRAMES"`, the paper's CIF
-//! encoder trace). Both forms are normalised to a canonical payload
-//! string, which doubles as the warm-trace-cache key, so resubmitting
-//! the same trace — in either spelling — hits the cache.
+//! encoder trace, at most [`MAX_WORKLOAD_FRAMES`] frames). Both forms are
+//! normalised to a canonical payload string, which doubles as the
+//! warm-trace-cache key, so resubmitting the same trace — in either
+//! spelling — hits the cache.
 //!
 //! The codec is hand-rolled over [`rispp_telemetry::JsonValue`]; the
 //! workspace is offline and carries no serde.
@@ -355,8 +356,12 @@ pub fn decode_config(value: &JsonValue) -> Result<SimConfig, String> {
     match value.get("port_bandwidth") {
         None | Some(JsonValue::Null) => {}
         Some(v) => {
-            config.port_bandwidth =
-                Some(v.as_u64().ok_or("`port_bandwidth` must be an integer")?);
+            let bandwidth = v.as_u64().ok_or("`port_bandwidth` must be an integer")?;
+            // Reject unusable ports here instead of panicking mid-run.
+            rispp_fabric::ReconfigPortConfig::with_bandwidth(bandwidth)
+                .validate()
+                .map_err(|e| format!("`port_bandwidth`: {e}"))?;
+            config.port_bandwidth = Some(bandwidth);
         }
     }
     match value.get("fault") {
@@ -450,6 +455,12 @@ pub fn canonical_trace_payload(value: &JsonValue) -> Result<String, String> {
     }
 }
 
+/// Largest frame count a named workload (`fig7:FRAMES`) may ask for. The
+/// encoder that materialises it runs before the simulation and outside
+/// the job deadline, so the bound caps what one submit can cost; it is
+/// roomy against the paper's 140-frame sequence.
+pub const MAX_WORKLOAD_FRAMES: u32 = 300;
+
 fn parse_workload_name(name: &str) -> Result<(&str, u32), String> {
     let (base, frames) = match name.split_once(':') {
         Some((base, frames)) => (
@@ -465,6 +476,11 @@ fn parse_workload_name(name: &str) -> Result<(&str, u32), String> {
     }
     if frames == 0 {
         return Err("workload frame count must be positive".into());
+    }
+    if frames > MAX_WORKLOAD_FRAMES {
+        return Err(format!(
+            "workload frame count {frames} exceeds the limit of {MAX_WORKLOAD_FRAMES}"
+        ));
     }
     Ok((base, frames))
 }
@@ -702,6 +718,7 @@ mod tests {
             r#"{"system":"warp9"}"#,
             r#"{"containers":-1}"#,
             r#"{"containers":70000}"#,
+            r#"{"port_bandwidth":0}"#,
             r#"{"bucket_cycles":0}"#,
             r#"{"fault":{"rate_ppm":1000001}}"#,
             r#"{"fault":{"seed":1}}"#,
@@ -730,6 +747,7 @@ mod tests {
         assert_eq!(canonical_trace_payload(&v).unwrap(), "fig7:3");
         assert!(canonical_trace_payload(&JsonValue::String("fig8".into())).is_err());
         assert!(canonical_trace_payload(&JsonValue::String("fig7:0".into())).is_err());
+        assert!(canonical_trace_payload(&JsonValue::String("fig7:4294967295".into())).is_err());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! Built-in backends:
 //!
-//! * [`RisppBackend`] — the full RISPP run-time system
-//!   ([`rispp_core::RunTimeManager`]) behind a thin adapter, optionally in
-//!   oracle (perfect-future-knowledge) mode;
+//! * [`RisppBackend`] — the full RISPP run-time system: one application's
+//!   view of a shared [`rispp_core::FabricArbiter`], optionally in oracle
+//!   (perfect-future-knowledge) mode. A solo run is the one-tenant case,
+//!   a multi-application run one backend per tenant over the same arbiter;
 //! * [`MolenSystem`] — the Molen/OneChip-like baselines;
 //! * [`SoftwareBackend`] — pure base-processor execution (every SI traps).
 //!
@@ -15,8 +16,10 @@
 //! required (see `examples/custom_backend.rs` in the repository root).
 
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use rispp_core::{BurstSegment, RunTimeManager, SchedulerKind};
+use rispp_core::{BurstSegment, FabricArbiter};
 use rispp_model::{SiId, SiLibrary};
 
 use crate::baseline::MolenSystem;
@@ -26,14 +29,14 @@ use crate::trace::{Burst, Invocation};
 ///
 /// The replay loop drives the backend through the hot-spot lifecycle —
 /// [`enter_hot_spot`](ExecutionSystem::enter_hot_spot), a sequence of
-/// [`execute_burst`](ExecutionSystem::execute_burst) calls, then
+/// [`execute_burst_into`](ExecutionSystem::execute_burst_into) calls, then
 /// [`exit_hot_spot`](ExecutionSystem::exit_hot_spot) — and reads
 /// aggregate reconfiguration counters at the end of the run.
 ///
 /// Contract expected by the engine (checked by the backend-conformance
 /// suite in `crates/sim/tests/backend_conformance.rs`):
 ///
-/// * `execute_burst(si, count, ..)` returns segments whose counts sum to
+/// * `execute_burst_into(si, count, ..)` writes segments whose counts sum to
 ///   `count`, with non-decreasing `start` cycles, the first at the burst's
 ///   `start`;
 /// * a backend must execute exactly the trace — no SI executions are
@@ -50,18 +53,10 @@ pub trait ExecutionSystem {
     fn enter_hot_spot(&mut self, invocation: &Invocation, now: u64);
 
     /// Executes a burst of `count` executions of `si` starting at `start`,
-    /// each followed by `overhead` base-processor cycles. Returns the
-    /// homogeneous-latency segments of the burst in time order.
-    fn execute_burst(&mut self, si: SiId, count: u32, overhead: u32, start: u64)
-        -> Vec<BurstSegment>;
-
-    /// Buffer-reusing variant of
-    /// [`execute_burst`](ExecutionSystem::execute_burst): clears `out` and
-    /// writes the burst's segments into it. The replay loop calls this with
-    /// one long-lived buffer so a multi-million-burst trace does not
-    /// allocate per burst. The default forwards to `execute_burst`, so
-    /// existing backends keep working unchanged; built-in backends override
-    /// it to skip the intermediate `Vec`.
+    /// each followed by `overhead` base-processor cycles: clears `out` and
+    /// writes the burst's homogeneous-latency segments into it in time
+    /// order. The replay loop calls this with one long-lived buffer so a
+    /// multi-million-burst trace does not allocate per burst.
     fn execute_burst_into(
         &mut self,
         si: SiId,
@@ -69,9 +64,20 @@ pub trait ExecutionSystem {
         overhead: u32,
         start: u64,
         out: &mut Vec<BurstSegment>,
-    ) {
-        out.clear();
-        out.extend(self.execute_burst(si, count, overhead, start));
+    );
+
+    /// [`execute_burst_into`](ExecutionSystem::execute_burst_into) into a
+    /// fresh `Vec`, for callers outside the replay loop.
+    fn execute_burst(
+        &mut self,
+        si: SiId,
+        count: u32,
+        overhead: u32,
+        start: u64,
+    ) -> Vec<BurstSegment> {
+        let mut out = Vec::new();
+        self.execute_burst_into(si, count, overhead, start, &mut out);
+        out
     }
 
     /// Batched fast path over a *run* of bursts: consumes a prefix of
@@ -171,77 +177,64 @@ pub trait ExecutionSystem {
     }
 }
 
-/// The RISPP run-time system as an [`ExecutionSystem`]: a thin adapter
-/// around [`RunTimeManager`] that maps the trace's hot-spot lifecycle onto
-/// the manager's forecast/select/schedule pipeline.
+/// The RISPP run-time system as an [`ExecutionSystem`]: application
+/// `app`'s view of a shared [`FabricArbiter`], forwarding every call with
+/// its application index. A solo run is the one-tenant case (a 1-tenant
+/// [`ContentionPolicy::Shared`](rispp_core::ContentionPolicy::Shared)
+/// arbiter, the core crate's single-owner configuration), and a
+/// multi-application run ([`crate::simulate_multi`]) hands one backend per
+/// tenant over the same arbiter.
 #[derive(Debug)]
 pub struct RisppBackend<'a> {
-    manager: RunTimeManager<'a>,
-    label: &'static str,
+    arbiter: Rc<RefCell<FabricArbiter<'a>>>,
+    app: u16,
+    label: Cow<'static, str>,
     oracle: bool,
 }
 
 impl<'a> RisppBackend<'a> {
-    /// Wraps a fully built manager. `scheduler` is only used for the
-    /// report label.
-    #[must_use]
-    pub fn new(manager: RunTimeManager<'a>, scheduler: SchedulerKind) -> Self {
-        RisppBackend {
-            manager,
-            label: scheduler.abbreviation(),
-            oracle: false,
-        }
-    }
-
-    /// Enables oracle mode: each hot-spot entry feeds the *measured*
+    /// Application `app`'s backend over `arbiter`, reported as `label`.
+    /// With `oracle` set, each hot-spot entry feeds the *measured*
     /// per-invocation execution profile to the run-time system instead of
     /// the online forecast (perfect future knowledge, the upper bound of
     /// paper Section 4.2).
-    #[must_use]
-    pub fn with_oracle(mut self, oracle: bool) -> Self {
-        self.oracle = oracle;
-        self
+    pub(crate) fn new(
+        arbiter: Rc<RefCell<FabricArbiter<'a>>>,
+        app: u16,
+        label: Cow<'static, str>,
+        oracle: bool,
+    ) -> Self {
+        RisppBackend {
+            arbiter,
+            app,
+            label,
+            oracle,
+        }
     }
 
-    /// The wrapped run-time manager.
-    #[must_use]
-    pub fn manager(&self) -> &RunTimeManager<'a> {
-        &self.manager
-    }
-
-    /// Consumes the backend, returning the manager.
-    #[must_use]
-    pub fn into_manager(self) -> RunTimeManager<'a> {
-        self.manager
+    /// The application index this backend drives on its arbiter.
+    pub(crate) fn app(&self) -> u16 {
+        self.app
     }
 }
 
 impl ExecutionSystem for RisppBackend<'_> {
     fn label(&self) -> Cow<'static, str> {
-        Cow::Borrowed(self.label)
+        self.label.clone()
     }
 
     fn enter_hot_spot(&mut self, invocation: &Invocation, now: u64) {
+        let mut arbiter = self.arbiter.borrow_mut();
         if self.oracle {
             let profile = invocation.execution_profile();
-            self.manager
-                .enter_hot_spot_with_profile(invocation.hot_spot, &profile, now)
+            arbiter
+                .enter_hot_spot_with_profile(self.app, invocation.hot_spot, &profile, now)
                 .expect("trace and library are consistent");
         } else {
-            self.manager
-                .enter_hot_spot(invocation.hot_spot, &invocation.hints, now)
+            arbiter
+                .enter_hot_spot(self.app, invocation.hot_spot, &invocation.hints, now)
                 .expect("trace and library are consistent");
         }
-    }
-
-    fn execute_burst(
-        &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
-        start: u64,
-    ) -> Vec<BurstSegment> {
-        self.manager.execute_burst(si, count, overhead, start)
     }
 
     fn execute_burst_into(
@@ -252,7 +245,9 @@ impl ExecutionSystem for RisppBackend<'_> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) {
-        self.manager.execute_burst_into(si, count, overhead, start, out);
+        self.arbiter
+            .borrow_mut()
+            .execute_burst_into(self.app, si, count, overhead, start, out);
     }
 
     fn execute_bursts_batched(
@@ -261,7 +256,8 @@ impl ExecutionSystem for RisppBackend<'_> {
         start: u64,
         out: &mut Vec<BurstSegment>,
     ) -> usize {
-        self.manager.execute_bursts_batched(
+        self.arbiter.borrow_mut().execute_bursts_batched(
+            self.app,
             bursts.iter().map(|b| (b.si, b.count, b.overhead)),
             start,
             out,
@@ -269,42 +265,52 @@ impl ExecutionSystem for RisppBackend<'_> {
     }
 
     fn exit_hot_spot(&mut self, now: u64) {
-        self.manager.exit_hot_spot(now);
+        self.arbiter.borrow_mut().exit_hot_spot(self.app, now);
     }
 
     fn reconfiguration_stats(&self) -> (u64, u64) {
-        let s = self.manager.fabric().stats();
-        (s.loads_completed, s.port_busy_cycles)
+        // Per-application port accounting: with one tenant every load is
+        // tagged 0, making this the fabric-global counters.
+        self.arbiter.borrow().app_port_stats(self.app)
     }
 
     fn recovery_stats(&self) -> rispp_core::RecoveryStats {
-        self.manager.recovery_stats()
+        self.arbiter.borrow().recovery_stats(self.app)
     }
 
     fn plan_cache_stats(&self) -> rispp_core::PlanCacheStats {
-        self.manager.plan_cache_stats()
+        self.arbiter.borrow().plan_cache_stats()
     }
 
     fn has_pending_activity(&self) -> bool {
         // Covers port completions, backoff-delayed starts, SEU upsets and
         // scheduled tile failures alike: any future internal fabric event.
-        self.manager.fabric().next_event_at().is_some()
+        self.arbiter
+            .borrow()
+            .fabric_for(self.app)
+            .next_event_at()
+            .is_some()
     }
 
     fn recovery_active(&self) -> bool {
-        self.manager.fabric().fault_model().is_some()
+        self.arbiter
+            .borrow()
+            .fabric_for(self.app)
+            .fault_model()
+            .is_some()
     }
 
     fn telemetry_active(&self) -> bool {
-        self.manager.explain_enabled() || self.manager.fabric().journal_enabled()
+        let arbiter = self.arbiter.borrow();
+        arbiter.explain_enabled(self.app) || arbiter.fabric_for(self.app).journal_enabled()
     }
 
     fn drain_decisions(&mut self, out: &mut Vec<rispp_core::DecisionExplain>) {
-        self.manager.take_decisions(out);
+        self.arbiter.borrow_mut().take_decisions(self.app, out);
     }
 
     fn drain_fabric_journal(&mut self, out: &mut Vec<rispp_fabric::FabricJournalEntry>) {
-        self.manager.drain_fabric_journal(out);
+        self.arbiter.borrow_mut().drain_fabric_journal(self.app, out);
     }
 }
 
@@ -315,16 +321,6 @@ impl ExecutionSystem for MolenSystem<'_> {
 
     fn enter_hot_spot(&mut self, invocation: &Invocation, now: u64) {
         MolenSystem::enter_hot_spot(self, invocation.hot_spot, &invocation.hints, now);
-    }
-
-    fn execute_burst(
-        &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
-        start: u64,
-    ) -> Vec<BurstSegment> {
-        MolenSystem::execute_burst(self, si, count, overhead, start)
     }
 
     fn execute_burst_into(
@@ -409,21 +405,6 @@ impl ExecutionSystem for SoftwareBackend<'_> {
     }
 
     fn enter_hot_spot(&mut self, _invocation: &Invocation, _now: u64) {}
-
-    fn execute_burst(
-        &mut self,
-        si: SiId,
-        count: u32,
-        _overhead: u32,
-        start: u64,
-    ) -> Vec<BurstSegment> {
-        let latency = self
-            .library
-            .si(si)
-            .expect("si within library")
-            .software_latency();
-        vec![BurstSegment::software(start, u64::from(count), latency)]
-    }
 
     fn execute_burst_into(
         &mut self,

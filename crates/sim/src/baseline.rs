@@ -195,24 +195,10 @@ impl<'a> MolenSystem<'a> {
     }
 
     /// Executes a burst of `count` executions of `si` starting at `start`,
-    /// each followed by `overhead` base-processor cycles. Latency switches
-    /// from software to the accelerator exactly when the accelerator's
+    /// each followed by `overhead` base-processor cycles: clears `segments`
+    /// and writes the burst's segments into it. Latency switches from
+    /// software to the accelerator exactly when the accelerator's
     /// reconfiguration completes (no intermediate steps).
-    #[must_use]
-    pub fn execute_burst(
-        &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
-        start: u64,
-    ) -> Vec<BurstSegment> {
-        let mut segments = Vec::new();
-        self.execute_burst_into(si, count, overhead, start, &mut segments);
-        segments
-    }
-
-    /// Buffer-reusing variant of [`MolenSystem::execute_burst`]: clears
-    /// `segments` and writes the burst's segments into it.
     pub fn execute_burst_into(
         &mut self,
         si: SiId,
@@ -394,6 +380,7 @@ pub fn molen_select(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ExecutionSystem;
     use rispp_model::{AtomTypeInfo, AtomUniverse, Molecule, SiLibraryBuilder};
 
     fn library() -> SiLibrary {

@@ -1,6 +1,10 @@
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rispp_core::{
-    BurstSegment, DecisionExplain, PlanCacheHandle, PlanCacheStats, RecoveryPolicy, RecoveryStats,
-    RunTimeManager, SchedulerKind,
+    BurstSegment, ContentionPolicy, DecisionExplain, FabricArbiter, PlanCacheHandle,
+    PlanCacheStats, RecoveryPolicy, RecoveryStats, SchedulerKind,
 };
 use rispp_fabric::{FabricJournalEntry, FaultModel};
 use rispp_model::SiLibrary;
@@ -134,12 +138,13 @@ fn plan_cache_default() -> bool {
 }
 
 impl SimConfig {
-    /// RISPP configuration with the given scheduler.
-    #[must_use]
-    pub fn rispp(containers: u16, scheduler: SchedulerKind) -> Self {
+    /// The defaults every constructor shares: the prototype's port, no
+    /// faults, no telemetry capture, one tenant, the environment's
+    /// plan-cache default and no trace context.
+    fn base(containers: u16, system: SystemKind) -> Self {
         SimConfig {
             containers,
-            system: SystemKind::Rispp(scheduler),
+            system,
             forecast: ForecastPolicy::default(),
             detail: false,
             bucket_cycles: DEFAULT_BUCKET_CYCLES,
@@ -152,46 +157,24 @@ impl SimConfig {
             plan_cache: plan_cache_default(),
             trace: None,
         }
+    }
+
+    /// RISPP configuration with the given scheduler.
+    #[must_use]
+    pub fn rispp(containers: u16, scheduler: SchedulerKind) -> Self {
+        Self::base(containers, SystemKind::Rispp(scheduler))
     }
 
     /// Molen-baseline configuration.
     #[must_use]
     pub fn molen(containers: u16) -> Self {
-        SimConfig {
-            containers,
-            system: SystemKind::Molen,
-            forecast: ForecastPolicy::default(),
-            detail: false,
-            bucket_cycles: DEFAULT_BUCKET_CYCLES,
-            oracle: false,
-            port_bandwidth: None,
-            fault: None,
-            explain: false,
-            journal: false,
-            tenants: TenancyConfig::default(),
-            plan_cache: plan_cache_default(),
-            trace: None,
-        }
+        Self::base(containers, SystemKind::Molen)
     }
 
     /// Pure-software configuration (0 Atom Containers).
     #[must_use]
     pub fn software_only() -> Self {
-        SimConfig {
-            containers: 0,
-            system: SystemKind::SoftwareOnly,
-            forecast: ForecastPolicy::default(),
-            detail: false,
-            bucket_cycles: DEFAULT_BUCKET_CYCLES,
-            oracle: false,
-            port_bandwidth: None,
-            fault: None,
-            explain: false,
-            journal: false,
-            tenants: TenancyConfig::default(),
-            plan_cache: plan_cache_default(),
-            trace: None,
-        }
+        Self::base(0, SystemKind::SoftwareOnly)
     }
 
     /// Enables detailed statistics (builder style).
@@ -300,36 +283,66 @@ impl SimConfig {
     ) -> Box<dyn ExecutionSystem + 'a> {
         match self.system {
             SystemKind::Rispp(kind) => {
-                let mut builder = RunTimeManager::builder(library)
-                    .containers(self.containers)
-                    .scheduler(kind)
-                    .forecast(self.forecast);
-                if self.plan_cache {
-                    builder = builder.plan_cache(
-                        shared.cloned().unwrap_or_else(PlanCacheHandle::private),
-                    );
-                }
-                if let Some(bw) = self.port_bandwidth {
-                    builder = builder.port_bandwidth(bw);
-                }
-                if let Some(fc) = self.fault {
-                    builder = builder
-                        .fault_model(FaultModel::uniform_ppm(fc.rate_ppm, fc.seed))
-                        .recovery(RecoveryPolicy {
-                            max_retries: fc.max_retries,
-                            ..RecoveryPolicy::default()
-                        });
-                }
-                let mut manager = builder.explain(self.explain).build();
-                if self.journal {
-                    manager.set_journal_enabled(true);
-                }
-                Box::new(RisppBackend::new(manager, kind).with_oracle(self.oracle))
+                let arbiter = self.build_arbiter(library, 1, ContentionPolicy::Shared, shared);
+                Box::new(RisppBackend::new(
+                    arbiter,
+                    0,
+                    Cow::Borrowed(kind.abbreviation()),
+                    self.oracle,
+                ))
             }
             SystemKind::Molen => Box::new(MolenSystem::new(library, self.containers)),
             SystemKind::OneChip => Box::new(MolenSystem::one_chip(library, self.containers)),
             SystemKind::SoftwareOnly => Box::new(SoftwareBackend::new(library)),
         }
+    }
+
+    /// The one `SimConfig` → [`FabricArbiter`] mapping behind every RISPP
+    /// run: `tenants` applications under `policy`, with this config's
+    /// scheduler, forecast, containers, port bandwidth, fault model,
+    /// decision capture and fabric journal. With [`SimConfig::plan_cache`]
+    /// on, the arbiter memoises into `shared` (or a private cache when
+    /// `None`); off, `shared` is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`SimConfig::system`] is [`SystemKind::Rispp`].
+    pub(crate) fn build_arbiter<'a>(
+        &self,
+        library: &'a SiLibrary,
+        tenants: u16,
+        policy: ContentionPolicy,
+        shared: Option<&PlanCacheHandle>,
+    ) -> Rc<RefCell<FabricArbiter<'a>>> {
+        let SystemKind::Rispp(kind) = self.system else {
+            panic!("only RISPP systems run on a fabric arbiter");
+        };
+        let mut builder = FabricArbiter::builder(library)
+            .containers(self.containers)
+            .tenants(tenants)
+            .policy(policy)
+            .scheduler(kind)
+            .forecast(self.forecast)
+            .explain(self.explain);
+        if self.plan_cache {
+            builder = builder.plan_cache(shared.cloned().unwrap_or_else(PlanCacheHandle::private));
+        }
+        if let Some(bw) = self.port_bandwidth {
+            builder = builder.port_bandwidth(bw);
+        }
+        if let Some(fc) = self.fault {
+            builder = builder
+                .fault_model(FaultModel::uniform_ppm(fc.rate_ppm, fc.seed))
+                .recovery(RecoveryPolicy {
+                    max_retries: fc.max_retries,
+                    ..RecoveryPolicy::default()
+                });
+        }
+        let mut arbiter = builder.build();
+        if self.journal {
+            arbiter.set_journal_enabled(true);
+        }
+        Rc::new(RefCell::new(arbiter))
     }
 }
 

@@ -6,8 +6,10 @@
 //! built-in backends are:
 //!
 //! * [`RisppBackend`] ([`SystemKind::Rispp`]) — the full RISPP run-time
-//!   system ([`rispp_core::RunTimeManager`]) with one of the four
-//!   schedulers, gradual Molecule upgrades and cross-SI Atom sharing.
+//!   system with one of the four schedulers, gradual Molecule upgrades and
+//!   cross-SI Atom sharing: one application's view of a shared
+//!   [`rispp_core::FabricArbiter`]. A solo run is the one-tenant case;
+//!   [`simulate_multi`] puts K of them on one arbiter.
 //! * [`MolenSystem`] ([`SystemKind::Molen`] / [`SystemKind::OneChip`]) — a
 //!   Molen/OneChip-like state-of-the-art reconfigurable system (paper
 //!   Section 5, Table 2): a single monolithic implementation per SI, no
@@ -79,7 +81,7 @@ pub use engine::{
 };
 pub use multi::{
     simulate_multi, simulate_multi_observed, MultiRunStats, TenancyConfig, TenantArbitration,
-    TenantHandle, TenantPolicy,
+    TenantPolicy,
 };
 pub use observer::{
     HotSpotOrigin, ProgressObserver, SimEvent, SimObserver, TraceLogObserver,

@@ -1,5 +1,5 @@
 //! Multi-application simulation: K traces contending for one
-//! reconfigurable substrate through the [`FabricArbiter`].
+//! reconfigurable substrate through the [`rispp_core::FabricArbiter`].
 //!
 //! [`simulate_multi`] replays one trace per tenant, interleaving
 //! invocations under a [`TenantArbitration`] and mapping the
@@ -16,8 +16,9 @@
 //!   to a solo run on a fabric of its partition's size.
 //!
 //! A 1-tenant run (any policy) is bit-identical to [`crate::simulate`]:
-//! the tenant handle drives the same arbiter code path the single-owner
-//! `RunTimeManager` wraps, through the same replay loop.
+//! both build their arbiter through the same `SimConfig` mapping and
+//! replay it through the same [`RisppBackend`] and replay loop — a solo
+//! run *is* the K=1 tenant path.
 //!
 //! The non-RISPP [`SystemKind`]s have no shared substrate to arbitrate:
 //! each tenant simply gets its own independent baseline system
@@ -25,20 +26,18 @@
 //! idealized duplicated substrate — under `Shared`) and replays solo.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use rispp_core::{BurstSegment, ContentionPolicy, FabricArbiter, RecoveryPolicy, RecoveryStats};
-use rispp_fabric::FaultModel;
-use rispp_model::{SiId, SiLibrary};
+use rispp_core::ContentionPolicy;
+use rispp_model::SiLibrary;
 
-use crate::backend::ExecutionSystem;
+use crate::backend::{ExecutionSystem, RisppBackend};
 use crate::engine::{
     emit, finish_replay, replay_invocation, simulate_observed, ReplayState, SimConfig, SystemKind,
 };
 use crate::observer::{SimEvent, SimObserver};
 use crate::stats::RunStats;
-use crate::trace::{Burst, Invocation, Trace};
+use crate::trace::Trace;
 
 /// How the substrate is shared between the applications of a
 /// multi-tenant run (the simulation-level mirror of [`ContentionPolicy`],
@@ -111,121 +110,6 @@ pub struct MultiRunStats {
     /// Loads that evicted an atom owned by a different application (zero
     /// outside `Shared` multi-tenancy).
     pub evictions_contested: u64,
-}
-
-/// One application's view of a shared [`FabricArbiter`], as an
-/// [`ExecutionSystem`]: the multi-tenant counterpart of
-/// [`RisppBackend`](crate::RisppBackend), forwarding every call with its
-/// tenant index. With one tenant its behaviour (and label) is exactly the
-/// single-owner backend's.
-pub struct TenantHandle<'a> {
-    arbiter: Rc<RefCell<FabricArbiter<'a>>>,
-    app: u16,
-    label: Cow<'static, str>,
-    oracle: bool,
-}
-
-impl ExecutionSystem for TenantHandle<'_> {
-    fn label(&self) -> Cow<'static, str> {
-        self.label.clone()
-    }
-
-    fn enter_hot_spot(&mut self, invocation: &Invocation, now: u64) {
-        let mut arbiter = self.arbiter.borrow_mut();
-        if self.oracle {
-            let profile = invocation.execution_profile();
-            arbiter
-                .enter_hot_spot_with_profile(self.app, invocation.hot_spot, &profile, now)
-                .expect("trace and library are consistent");
-        } else {
-            arbiter
-                .enter_hot_spot(self.app, invocation.hot_spot, &invocation.hints, now)
-                .expect("trace and library are consistent");
-        }
-    }
-
-    fn execute_burst(
-        &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
-        start: u64,
-    ) -> Vec<BurstSegment> {
-        let mut out = Vec::new();
-        self.execute_burst_into(si, count, overhead, start, &mut out);
-        out
-    }
-
-    fn execute_burst_into(
-        &mut self,
-        si: SiId,
-        count: u32,
-        overhead: u32,
-        start: u64,
-        out: &mut Vec<BurstSegment>,
-    ) {
-        self.arbiter
-            .borrow_mut()
-            .execute_burst_into(self.app, si, count, overhead, start, out);
-    }
-
-    fn execute_bursts_batched(
-        &mut self,
-        bursts: &[Burst],
-        start: u64,
-        out: &mut Vec<BurstSegment>,
-    ) -> usize {
-        self.arbiter.borrow_mut().execute_bursts_batched(
-            self.app,
-            bursts.iter().map(|b| (b.si, b.count, b.overhead)),
-            start,
-            out,
-        )
-    }
-
-    fn exit_hot_spot(&mut self, now: u64) {
-        self.arbiter.borrow_mut().exit_hot_spot(self.app, now);
-    }
-
-    fn reconfiguration_stats(&self) -> (u64, u64) {
-        // Per-application port accounting: with one tenant every load is
-        // tagged 0, making this identical to the fabric-global counters
-        // the single-owner backend reports.
-        self.arbiter.borrow().app_port_stats(self.app)
-    }
-
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.arbiter.borrow().recovery_stats(self.app)
-    }
-
-    fn has_pending_activity(&self) -> bool {
-        self.arbiter
-            .borrow()
-            .fabric_for(self.app)
-            .next_event_at()
-            .is_some()
-    }
-
-    fn recovery_active(&self) -> bool {
-        self.arbiter
-            .borrow()
-            .fabric_for(self.app)
-            .fault_model()
-            .is_some()
-    }
-
-    fn telemetry_active(&self) -> bool {
-        let arbiter = self.arbiter.borrow();
-        arbiter.explain_enabled(self.app) || arbiter.fabric_for(self.app).journal_enabled()
-    }
-
-    fn drain_decisions(&mut self, out: &mut Vec<rispp_core::DecisionExplain>) {
-        self.arbiter.borrow_mut().take_decisions(self.app, out);
-    }
-
-    fn drain_fabric_journal(&mut self, out: &mut Vec<rispp_fabric::FabricJournalEntry>) {
-        self.arbiter.borrow_mut().drain_fabric_journal(self.app, out);
-    }
 }
 
 /// Containers each tenant gets under a partitioned split of `total`.
@@ -307,17 +191,14 @@ pub fn simulate_multi_observed(
     }
 }
 
-/// The arbitrated RISPP path: one [`FabricArbiter`], K tenant handles,
-/// invocation-sliced interleaving.
+/// The arbitrated RISPP path: one [`rispp_core::FabricArbiter`], K
+/// [`RisppBackend`]s over it, invocation-sliced interleaving.
 fn simulate_multi_rispp(
     library: &SiLibrary,
     traces: &[Trace],
     config: &SimConfig,
     extra: &mut [&mut (dyn SimObserver + '_)],
 ) -> MultiRunStats {
-    let SystemKind::Rispp(kind) = config.system else {
-        unreachable!("caller dispatches on the system kind");
-    };
     let k = traces.len();
     let policy = match config.tenants.policy {
         TenantPolicy::Shared => ContentionPolicy::Shared,
@@ -325,55 +206,33 @@ fn simulate_multi_rispp(
             containers_per_app: partition_size(config.containers, k),
         },
     };
-    let mut builder = FabricArbiter::builder(library)
-        .containers(config.containers)
-        .tenants(u16::try_from(k).expect("tenant count fits u16"))
-        .policy(policy)
-        .scheduler(kind)
-        .forecast(config.forecast)
-        .explain(config.explain);
-    if config.plan_cache {
+    let arbiter = config.build_arbiter(
+        library,
+        u16::try_from(k).expect("tenant count fits u16"),
+        policy,
         // One private cache per multi-tenant run: the application index
         // and tenant count are plan-key words, so K tenants share the
         // cache without ever sharing a decision across apps.
-        builder = builder.plan_cache(rispp_core::PlanCacheHandle::private());
-    }
-    if let Some(bw) = config.port_bandwidth {
-        builder = builder.port_bandwidth(bw);
-    }
-    if let Some(fc) = config.fault {
-        builder = builder
-            .fault_model(FaultModel::uniform_ppm(fc.rate_ppm, fc.seed))
-            .recovery(RecoveryPolicy {
-                max_retries: fc.max_retries,
-                ..RecoveryPolicy::default()
-            });
-    }
-    let mut arbiter = builder.build();
-    if config.journal {
-        arbiter.set_journal_enabled(true);
-    }
-    let arbiter = Rc::new(RefCell::new(arbiter));
-
-    let base = kind.abbreviation();
-    let mut handles: Vec<TenantHandle<'_>> = (0..k)
-        .map(|i| TenantHandle {
-            arbiter: Rc::clone(&arbiter),
-            app: u16::try_from(i).expect("tenant index fits u16"),
+        None,
+    );
+    let base = config.system.label();
+    let mut handles: Vec<RisppBackend<'_>> = (0..k)
+        .map(|i| {
             // With one tenant the label is the plain scheduler
             // abbreviation, keeping RunStats comparable (and equal) to a
             // single-tenant run.
-            label: if k == 1 {
+            let label = if k == 1 {
                 Cow::Borrowed(base)
             } else {
                 Cow::Owned(format!("{base}[t{i}]"))
-            },
-            oracle: config.oracle,
+            };
+            let app = u16::try_from(i).expect("tenant index fits u16");
+            RisppBackend::new(Rc::clone(&arbiter), app, label, config.oracle)
         })
         .collect();
     let mut stats: Vec<RunStats> = handles
         .iter()
-        .map(|h| RunStats::new(h.label.clone(), library.len(), config.bucket_cycles, config.detail))
+        .map(|h| RunStats::new(h.label(), library.len(), config.bucket_cycles, config.detail))
         .collect();
     let mut states: Vec<ReplayState> = Vec::with_capacity(k);
     for i in 0..k {
@@ -416,7 +275,7 @@ fn simulate_multi_rispp(
                 emit(
                     &mut obs,
                     SimEvent::TenantSwitched {
-                        tenant: handles[i].app,
+                        tenant: handles[i].app(),
                         now: start,
                     },
                 );
@@ -430,7 +289,7 @@ fn simulate_multi_rispp(
                 emit(
                     &mut obs,
                     SimEvent::EvictionContested {
-                        tenant: handles[i].app,
+                        tenant: handles[i].app(),
                         count: delta,
                         total: contested_totals[i],
                         now: end,
@@ -448,7 +307,7 @@ fn simulate_multi_rispp(
         // (a fault-triggered re-plan replans co-tenants too), so poll all
         // of them.
         for j in 0..k {
-            let cur = arbiter.borrow().atoms_shared(handles[j].app);
+            let cur = arbiter.borrow().atoms_shared(handles[j].app());
             if cur > shared_seen[j] {
                 let mut obs: Vec<&mut (dyn SimObserver + '_)> = Vec::with_capacity(2);
                 obs.push(&mut stats[j]);
@@ -458,7 +317,7 @@ fn simulate_multi_rispp(
                 emit(
                     &mut obs,
                     SimEvent::AtomShared {
-                        tenant: handles[j].app,
+                        tenant: handles[j].app(),
                         count: cur - shared_seen[j],
                         total: cur,
                         now: if shared_clock { global_now } else { clocks[j] },

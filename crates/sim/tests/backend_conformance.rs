@@ -357,14 +357,16 @@ impl ExecutionSystem for FlatBackend {
 
     fn enter_hot_spot(&mut self, _invocation: &Invocation, _now: u64) {}
 
-    fn execute_burst(
+    fn execute_burst_into(
         &mut self,
         _si: SiId,
         count: u32,
         _overhead: u32,
         start: u64,
-    ) -> Vec<BurstSegment> {
-        vec![BurstSegment::hardware(start, u64::from(count), 100, 0)]
+        out: &mut Vec<BurstSegment>,
+    ) {
+        out.clear();
+        out.push(BurstSegment::hardware(start, u64::from(count), 100, 0));
     }
 
     fn exit_hot_spot(&mut self, _now: u64) {}

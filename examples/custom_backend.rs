@@ -54,16 +54,19 @@ impl ExecutionSystem for QuarterLatencyAsic<'_> {
 
     fn enter_hot_spot(&mut self, _invocation: &Invocation, _now: u64) {}
 
-    fn execute_burst(
+    fn execute_burst_into(
         &mut self,
         si: SiId,
         count: u32,
         overhead: u32,
         start: u64,
-    ) -> Vec<BurstSegment> {
+        out: &mut Vec<BurstSegment>,
+    ) {
+        out.clear();
         let fast = self.hardware_latency(si);
         if self.warmed[si.index()] {
-            return vec![BurstSegment::hardware(start, u64::from(count), fast, 0)];
+            out.push(BurstSegment::hardware(start, u64::from(count), fast, 0));
+            return;
         }
         self.warmed[si.index()] = true;
         self.warmups += 1;
@@ -72,17 +75,16 @@ impl ExecutionSystem for QuarterLatencyAsic<'_> {
             .si(si)
             .expect("si within library")
             .software_latency();
-        let mut segments = vec![BurstSegment::software(start, 1, slow)];
+        out.push(BurstSegment::software(start, 1, slow));
         if count > 1 {
             let after_warmup = start + u64::from(slow) + u64::from(overhead);
-            segments.push(BurstSegment::hardware(
+            out.push(BurstSegment::hardware(
                 after_warmup,
                 u64::from(count - 1),
                 fast,
                 0,
             ));
         }
-        segments
     }
 
     fn exit_hot_spot(&mut self, _now: u64) {}

@@ -16,6 +16,15 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> perfbench build + tests (release, target/perfbench)"
+# The benchmark is a package of its own that builds the workspace crates
+# from source, so an API change in them can break it without any
+# workspace build noticing. Its target dir stays outside perfbench/.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline \
+  --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=target/perfbench cargo test -q --release --offline \
+  --manifest-path perfbench/Cargo.toml
+
 echo "==> fig7 replay pin (2 frames, release build)"
 # The default-seed 2-frame fig7 sweep must sum to a fixed simulated-cycle
 # count. Any change to trace generation, planning or replay that moves a
